@@ -31,6 +31,7 @@ use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::future::poll_fn;
+use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Poll, Waker};
 
@@ -451,14 +452,14 @@ impl Request {
         let Some(st) = self.st.clone() else {
             return Some(None);
         };
-        let mut timer = Box::pin(e10_simcore::sleep(d));
+        let mut timer = e10_simcore::sleep(d);
         let out = poll_fn(|cx| {
             // The request wins ties with the timer: a completion at the
             // deadline instant is still a completion.
             if let Poll::Ready(m) = st.reqs.poll_wait(self.slot, self.gen, cx) {
                 return Poll::Ready(Some(m));
             }
-            match timer.as_mut().poll(cx) {
+            match Pin::new(&mut timer).poll(cx) {
                 Poll::Ready(()) => Poll::Ready(None),
                 Poll::Pending => Poll::Pending,
             }

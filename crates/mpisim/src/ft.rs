@@ -20,7 +20,10 @@
 //! rank, which combines and re-broadcasts; if the coordinator itself
 //! dies, participants time out, convict it and retry with the next
 //! live rank. O(P) messages per operation — fine for the control
-//! plane (failure handling is rare), not a data path.
+//! plane (failure handling is rare), not a data path. The combined
+//! result is built once and shared: every broadcast message carries an
+//! `Rc` of the same allocation, so host cost is O(P) per operation
+//! while the modelled messages (and their wire bytes) stay O(P).
 //!
 //! Accuracy caveat: a live-but-slow rank whose contribution misses the
 //! timeout is convicted like a dead one. Detection is accurate when
@@ -82,10 +85,12 @@ impl Comm {
     /// peers), applies `combine` to the per-rank contributions (`None`
     /// for ranks that failed to arrive — their absence is the caller's
     /// abort signal) and sends the result to every surviving
-    /// contributor. If the coordinator itself dies, participants time
-    /// out on the result, convict it and fail over to the next live
-    /// rank. `tag_base` must be unique per logical operation and leave
-    /// `2 * size` tag values free above it (the failover tags are
+    /// contributor. The result is built once and every survivor gets
+    /// an `Rc` of that one allocation (the wire still carries `bytes`
+    /// per recipient). If the coordinator itself dies, participants
+    /// time out on the result, convict it and fail over to the next
+    /// live rank. `tag_base` must be unique per logical operation and
+    /// leave `2 * size` tag values free above it (the failover tags are
     /// derived from the coordinator's rank — shared failure knowledge
     /// keeps them consistent even when ranks enter the operation with
     /// different conviction histories).
@@ -96,10 +101,10 @@ impl Comm {
         bytes: u64,
         timeout: SimDuration,
         combine: impl Fn(&mut [Option<T>]) -> R,
-    ) -> R
+    ) -> Rc<R>
     where
         T: Clone + 'static,
-        R: Clone + 'static,
+        R: 'static,
     {
         let p = self.state.size;
         loop {
@@ -110,7 +115,7 @@ impl Comm {
             let rtag = ctag + 1;
             if self.rank == coord {
                 let mut contribs: Vec<Option<T>> = (0..p).map(|_| None).collect();
-                contribs[self.rank] = Some(v.clone());
+                contribs[self.rank] = Some(v);
                 // `r` is both the peer rank (recv source, conviction
                 // target) and the contribution slot; an enumerate()
                 // rewrite would obscure that.
@@ -131,12 +136,12 @@ impl Comm {
                         None => self.mark_failed(r),
                     }
                 }
-                let res = combine(&mut contribs);
+                let res = Rc::new(combine(&mut contribs));
                 for r in 0..p {
                     if r != self.rank && !self.is_failed(r) {
                         // Fire and forget: completion on arrival, and a
                         // dead recipient's mailbox harmlessly swallows it.
-                        drop(self.isend(r, rtag, bytes, res.clone()));
+                        drop(self.isend(r, rtag, bytes, Rc::clone(&res)));
                     }
                 }
                 return res;
@@ -150,7 +155,7 @@ impl Comm {
                 .recv_timeout(SourceSel::Rank(coord), rtag, result_wait)
                 .await
             {
-                Some(m) => return m.into_data::<R>(),
+                Some(m) => return m.into_data::<Rc<R>>(),
                 None => self.mark_failed(coord),
             }
         }
@@ -167,7 +172,7 @@ impl Comm {
                 contribs.iter().flatten().fold(u64::MAX, |acc, &f| acc & f)
             })
             .await;
-        (and, self.failed_ranks())
+        (*and, self.failed_ranks())
     }
 
     /// `MPI_Comm_shrink` (ULFM): a communicator over `live` (sorted
@@ -289,6 +294,37 @@ mod tests {
                 }
                 assert_eq!(*and, u64::MAX);
                 assert_eq!(dead, &vec![0], "rank {r} must fail over past rank 0");
+            }
+        });
+    }
+
+    #[test]
+    fn ft_coordinate_shares_one_result_among_survivors() {
+        run(async {
+            let outs = launch(WorldSpec::for_tests(6, 3), |comm| async move {
+                if comm.rank() == 4 {
+                    // Rank 4 "dies": the others must still share one result.
+                    return None;
+                }
+                let res = comm
+                    .ft_coordinate(T, comm.rank() as u64, 16, ms(10), |contribs| {
+                        contribs
+                            .iter()
+                            .map(|c| c.unwrap_or(u64::MAX))
+                            .collect::<Vec<_>>()
+                    })
+                    .await;
+                Some(res)
+            })
+            .await;
+            let survivors: Vec<&Rc<Vec<u64>>> = outs.iter().flatten().collect();
+            assert_eq!(survivors.len(), 5);
+            assert_eq!(**survivors[0], vec![0, 1, 2, 3, u64::MAX, 5]);
+            for (i, res) in survivors.iter().enumerate() {
+                assert!(
+                    Rc::ptr_eq(survivors[0], res),
+                    "survivor {i} got its own copy of the result"
+                );
             }
         });
     }

@@ -41,6 +41,8 @@
 //! rank per aborted attempt — so the collective terminates in at most
 //! `size` attempts.
 
+use std::rc::Rc;
+
 use e10_mpisim::{Comm, FileView, Request, SourceSel, Tag};
 use e10_simcore::trace::counter;
 use e10_simcore::SimDuration;
@@ -54,16 +56,32 @@ use crate::node_agg::{stage_into_cache, MergedNode};
 use crate::profile::Phase;
 
 /// Tag space of the fault-tolerant coordination steps (disjoint from
-/// the shuffle's `DATA_TAG_BASE`, the node-agg gather and the
-/// `COLL_TAG_BASE` of the stock collectives).
+/// the shuffle's `DATA_TAG_BASE`, the node-agg gather's
+/// `NODE_GATHER_TAG` and the `COLL_TAG_BASE` of the stock collectives).
 const FT_TAG_BASE: Tag = 0x5000_0000;
 
-/// Tag block for coordination step `seq` of redo attempt `attempt`.
-/// Each step gets 256 tags (2 per coordinator-failover candidate, so
-/// sub-communicators up to 128 ranks); 4096 steps per attempt before
-/// wrapping.
-fn ft_tag(attempt: u32, seq: u32) -> Tag {
-    FT_TAG_BASE + (attempt.wrapping_mul(4096).wrapping_add(seq) % 0x0010_0000) * 256
+/// Coordination steps one redo attempt may use: the live-list sync,
+/// the offset exchange, the node-agg pre-phase sync and two steps per
+/// two-phase round.
+const FT_STEPS_PER_ATTEMPT: u32 = 4096;
+
+/// First tag of coordination step `seq` of redo attempt `attempt` on a
+/// `size`-rank communicator. Each step gets `2 * size` tags, two per
+/// coordinator-failover candidate ([`Comm::ft_coordinate`]), so
+/// failover can run through every rank without reaching the next
+/// step's block. Blocks wrap round once `FT_TAG_BASE..NODE_GATHER_TAG`
+/// is used up.
+fn ft_tag(size: usize, attempt: u32, seq: u32) -> Tag {
+    debug_assert!(
+        seq < FT_STEPS_PER_ATTEMPT,
+        "coordination step {seq} overruns attempt {attempt}'s tag budget"
+    );
+    let stride = 2 * size as u64;
+    let blocks = u64::from(NODE_GATHER_TAG - FT_TAG_BASE) / stride;
+    let block = (u64::from(attempt) * u64::from(FT_STEPS_PER_ATTEMPT) + u64::from(seq)) % blocks;
+    let base = u64::from(FT_TAG_BASE) + block * stride;
+    debug_assert!(base + stride <= u64::from(NODE_GATHER_TAG));
+    base as Tag
 }
 
 /// An attempt aborted: at least one rank was convicted; retry on the
@@ -87,9 +105,9 @@ pub async fn write_at_all_tolerant(
         counter("coll.ft.attempts", 1);
         // Settle the live list: the coordinator's snapshot, not a local
         // read, so every survivor shrinks to exactly the same list.
-        let live: Vec<usize> = fd
+        let live: Rc<Vec<usize>> = fd
             .comm
-            .ft_coordinate(ft_tag(attempt, 0), (), 16, timeout, |contribs| {
+            .ft_coordinate(ft_tag(p, attempt, 0), (), 16, timeout, |contribs| {
                 contribs
                     .iter()
                     .enumerate()
@@ -180,10 +198,10 @@ async fn attempt_write(
     } else {
         view.file_range()
     };
-    let st_end: Option<Vec<(u64, u64)>> = {
+    let st_end: Rc<Option<Vec<(u64, u64)>>> = {
         let _t = prof.enter(Phase::OffsetExchange);
         comm.ft_coordinate(
-            ft_tag(attempt, seq),
+            ft_tag(p, attempt, seq),
             (my_st, my_end),
             16,
             timeout,
@@ -197,7 +215,7 @@ async fn attempt_write(
         .await
     };
     seq += 1;
-    let Some(st_end) = st_end else {
+    let Some(st_end) = st_end.as_ref() else {
         return Err(Aborted);
     };
     let min_st = st_end.iter().filter(|e| e.0 != u64::MAX).map(|e| e.0).min();
@@ -215,7 +233,7 @@ async fn attempt_write(
     // survivor → identical decision) -------------------------------------
     let mut interleaved = false;
     let mut running_end = 0u64;
-    for &(st, end) in &st_end {
+    for &(st, end) in st_end {
         if st == u64::MAX {
             continue;
         }
@@ -269,9 +287,9 @@ async fn attempt_write(
     if algo == TwoPhaseAlgo::NodeAgg {
         // Pre-phase sync: only the leaders can observe a dead member,
         // so fold their abort flags into one broadcast decision.
-        let ok: Option<()> = comm
+        let ok: Rc<Option<()>> = comm
             .ft_coordinate(
-                ft_tag(attempt, seq),
+                ft_tag(p, attempt, seq),
                 u64::from(pre_abort),
                 16,
                 timeout,
@@ -333,12 +351,12 @@ async fn attempt_write(
         }
 
         // Size dissemination: a fault-tolerant alltoall — the
-        // coordinator assembles the full size matrix and broadcasts it
-        // (or the abort decision) to every survivor.
-        let matrix: Option<Vec<Vec<u64>>> = {
+        // coordinator assembles the full size matrix once and shares it
+        // (or the abort decision) with every survivor.
+        let matrix: Rc<Option<Vec<Vec<u64>>>> = {
             let _t = prof.enter(Phase::ShuffleAlltoall);
             comm.ft_coordinate(
-                ft_tag(attempt, seq),
+                ft_tag(p, attempt, seq),
                 row.clone(),
                 8 * p as u64,
                 timeout,
@@ -352,7 +370,7 @@ async fn attempt_write(
             .await
         };
         seq += 1;
-        let Some(matrix) = matrix else {
+        let Some(matrix) = matrix.as_ref() else {
             return Err(Aborted);
         };
 
@@ -496,9 +514,9 @@ async fn attempt_write(
         // single final allreduce — each round's fate is settled before
         // the next round's shuffle.
         let flag = u64::from(local_abort) | (u64::from(local_err) << 1);
-        let status: Option<u64> = {
+        let status: Rc<Option<u64>> = {
             let _t = prof.enter(Phase::PostWrite);
-            comm.ft_coordinate(ft_tag(attempt, seq), flag, 16, timeout, |contribs| {
+            comm.ft_coordinate(ft_tag(p, attempt, seq), flag, 16, timeout, |contribs| {
                 let mut or = 0u64;
                 for c in contribs.iter() {
                     or |= (*c)?;
@@ -508,7 +526,7 @@ async fn attempt_write(
             .await
         };
         seq += 1;
-        match status {
+        match *status {
             None => return Err(Aborted),
             Some(f) if f & 1 != 0 => return Err(Aborted),
             Some(f) => global_err |= (f >> 1) as u32 & 1,
@@ -708,6 +726,35 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn ft_tag_blocks_hold_every_failover_candidate() {
+        for size in [256usize, 512] {
+            let span = 2 * size as u64;
+            let last_attempt = size as u32 + 1;
+            let mut steps: Vec<(u32, u32)> = Vec::new();
+            for attempt in [0, 1, last_attempt] {
+                steps.extend([0, 1, 2, 200, FT_STEPS_PER_ATTEMPT - 1].map(|seq| (attempt, seq)));
+            }
+            for (attempt, seq) in steps {
+                let lo = u64::from(ft_tag(size, attempt, seq));
+                // The last failover candidate's result tag.
+                let hi = lo + span - 1;
+                assert!(lo >= u64::from(FT_TAG_BASE) && hi < u64::from(NODE_GATHER_TAG));
+                let next = if seq + 1 < FT_STEPS_PER_ATTEMPT {
+                    ft_tag(size, attempt, seq + 1)
+                } else {
+                    ft_tag(size, attempt + 1, 0)
+                };
+                let next = u64::from(next);
+                assert!(
+                    next > hi || next + span <= lo,
+                    "size {size}: step ({attempt}, {seq}) spans {lo:#x}..={hi:#x}, \
+                     its successor starts at {next:#x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //!    the number of two-phase rounds must not change the allocator-call
 //!    count at all. Warm-up rounds may grow scratch buffers to their
 //!    high-water mark; after that, every round reuses them.
+//! 3. **O(p) marginal allocations per crash-tolerant round**
+//!    (`e10_coll_timeout > 0`): each round's fault-tolerant size
+//!    exchange sends every rank its row and shares one combined
+//!    matrix, so a round costs at most `2·p + 16` allocator calls, not
+//!    the O(p²) of a per-rank copy of the matrix.
+//!
+//! Counting is per thread (see `alloc_gauge`), so these tests may run
+//! in parallel.
 //!
 //! Debug aid: set `E10_ALLOC_BT=lo:hi` (plus `RUST_BACKTRACE=1`) to
 //! print a backtrace for every counted allocation whose ordinal falls
@@ -32,20 +40,31 @@ fn install_bt_hook() {
     }
 }
 
-/// A fixed 8-rank interleaved collective write; `blocks` interleaved
-/// 10 KB blocks per rank (rounds scale with it). Returns rounds.
-/// With `degraded_hints` the three degraded-mode knobs are set
-/// *explicitly at their default values* (`e10_coll_timeout = 0`,
-/// `e10_pfs_max_retries = 4`, `e10_pfs_retry_base_us = 2000`): parsing
-/// and wiring them must not wake any of the tolerance machinery.
-fn collective_write_scenario(blocks: u64, cache: bool, degraded_hints: bool) -> u64 {
+/// How a scenario sets the degraded-mode hints.
+#[derive(Clone, Copy)]
+enum Tolerance {
+    /// Not set at all.
+    Unset,
+    /// The three degraded-mode knobs set *explicitly at their default
+    /// values* (`e10_coll_timeout = 0`, `e10_pfs_max_retries = 4`,
+    /// `e10_pfs_retry_base_us = 2000`): parsing and wiring them must
+    /// not wake any of the tolerance machinery.
+    Defaults,
+    /// The crash-tolerant engine on (`e10_coll_timeout = 40`).
+    On,
+}
+
+/// A fixed interleaved collective write of `ranks` ranks on 4 nodes;
+/// `blocks` interleaved 10 KB blocks per rank (rounds scale with it).
+/// Returns rounds.
+fn collective_write_scenario(ranks: usize, blocks: u64, cache: bool, tol: Tolerance) -> u64 {
     use e10_mpisim::{FlatType, Info};
     use std::cell::Cell;
     use std::rc::Rc;
     let rounds = Rc::new(Cell::new(0u64));
     let rounds2 = Rc::clone(&rounds);
     e10_simcore::run(async move {
-        let tb = e10_romio::TestbedSpec::small(8, 4).build();
+        let tb = e10_romio::TestbedSpec::small(ranks, 4).build();
         let handles: Vec<_> = tb
             .ctxs()
             .into_iter()
@@ -72,17 +91,23 @@ fn collective_write_scenario(blocks: u64, cache: bool, degraded_hints: bool) -> 
                         // zero-allocation steady state well-defined.
                         info.set("e10_cache_sync_depth", "4");
                     }
-                    if degraded_hints {
-                        info.set("e10_coll_timeout", "0");
-                        info.set("e10_pfs_max_retries", "4");
-                        info.set("e10_pfs_retry_base_us", "2000");
+                    match tol {
+                        Tolerance::Unset => {}
+                        Tolerance::Defaults => {
+                            info.set("e10_coll_timeout", "0");
+                            info.set("e10_pfs_max_retries", "4");
+                            info.set("e10_pfs_retry_base_us", "2000");
+                        }
+                        Tolerance::On => {
+                            info.set("e10_coll_timeout", "40");
+                        }
                     }
                     let f = e10_romio::AdioFile::open(&ctx, "/gfs/alloc", &info, true)
                         .await
                         .unwrap();
                     let rank = ctx.comm.rank();
                     let blocks: Vec<(u64, u64)> = (0..blocks)
-                        .map(|i| ((i * 8 + rank as u64) * 10_000, 10_000))
+                        .map(|i| ((i * ranks as u64 + rank as u64) * 10_000, 10_000))
                         .collect();
                     let view = e10_mpisim::FileView::new(&FlatType::indexed(blocks), 0);
                     let r = e10_romio::write_at_all(
@@ -107,8 +132,8 @@ fn collective_write_scenario(blocks: u64, cache: bool, degraded_hints: bool) -> 
 fn collective_write_allocation_budget() {
     // Warm-up outside the counted window (lazy statics, first-touch
     // buffers), then the measured run.
-    collective_write_scenario(16, false, false);
-    let (n, _) = alloc_gauge::count(|| collective_write_scenario(16, false, false));
+    collective_write_scenario(8, 16, false, Tolerance::Unset);
+    let (n, _) = alloc_gauge::count(|| collective_write_scenario(8, 16, false, Tolerance::Unset));
     println!("collective_write_scenario allocator calls: {n}");
     // Seed (pre-optimisation) count: see CHANGES.md. The ceiling is
     // well above the optimised count; a reintroduced per-round clone
@@ -124,9 +149,11 @@ fn steady_state_rounds_allocate_nothing() {
     install_bt_hook();
     for cache in [false, true] {
         // Warm-up run (lazy statics, thread-locals).
-        collective_write_scenario(16, cache, false);
-        let (a1, r1) = alloc_gauge::count(|| collective_write_scenario(16, cache, false));
-        let (a2, r2) = alloc_gauge::count(|| collective_write_scenario(32, cache, false));
+        collective_write_scenario(8, 16, cache, Tolerance::Unset);
+        let (a1, r1) =
+            alloc_gauge::count(|| collective_write_scenario(8, 16, cache, Tolerance::Unset));
+        let (a2, r2) =
+            alloc_gauge::count(|| collective_write_scenario(8, 32, cache, Tolerance::Unset));
         assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
         let marginal = (a2 as i64 - a1 as i64) as f64 / (r2 - r1) as f64;
         println!(
@@ -148,9 +175,11 @@ fn steady_state_rounds_allocate_nothing() {
 fn steady_state_with_tolerance_hints_off_allocates_nothing() {
     install_bt_hook();
     for cache in [false, true] {
-        collective_write_scenario(16, cache, true);
-        let (a1, r1) = alloc_gauge::count(|| collective_write_scenario(16, cache, true));
-        let (a2, r2) = alloc_gauge::count(|| collective_write_scenario(32, cache, true));
+        collective_write_scenario(8, 16, cache, Tolerance::Defaults);
+        let (a1, r1) =
+            alloc_gauge::count(|| collective_write_scenario(8, 16, cache, Tolerance::Defaults));
+        let (a2, r2) =
+            alloc_gauge::count(|| collective_write_scenario(8, 32, cache, Tolerance::Defaults));
         assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
         let marginal = (a2 as i64 - a1 as i64) as f64 / (r2 - r1) as f64;
         println!(
@@ -163,4 +192,27 @@ fn steady_state_with_tolerance_hints_off_allocates_nothing() {
              {a1} allocs over {r1} rounds vs {a2} over {r2} ({marginal:.2}/round)"
         );
     }
+}
+
+/// The crash-tolerant engine (`e10_coll_timeout > 0`, no failures) on
+/// 16 ranks: marginal allocator calls per round must stay O(p). Each
+/// round's size exchange costs every rank one row of `p` sizes; a
+/// per-rank copy of the combined p×p matrix would cost at least
+/// `(p - 1)(p + 1)` more.
+#[test]
+fn tolerant_rounds_allocate_linearly_in_ranks() {
+    install_bt_hook();
+    const P: usize = 16;
+    collective_write_scenario(P, 8, false, Tolerance::On);
+    let (a1, r1) = alloc_gauge::count(|| collective_write_scenario(P, 8, false, Tolerance::On));
+    let (a2, r2) = alloc_gauge::count(|| collective_write_scenario(P, 16, false, Tolerance::On));
+    assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
+    let marginal = (a2 as f64 - a1 as f64) / (r2 - r1) as f64;
+    println!("tolerant p={P}: rounds {r1}->{r2}, allocs {a1}->{a2}, marginal {marginal:.2}/round");
+    let budget = (2 * P + 16) as f64;
+    assert!(
+        marginal <= budget,
+        "tolerant rounds must allocate O(p): {marginal:.2} allocator calls per round \
+         over {r1}->{r2} rounds, budget {budget}"
+    );
 }

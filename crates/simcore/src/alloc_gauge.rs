@@ -19,26 +19,35 @@
 //!
 //! Counting covers `alloc` and `realloc` (a `realloc` is a fresh
 //! allocator round-trip even when it resizes in place); `dealloc` is
-//! free. The counter is atomic and process-global, so it also works
-//! under the bench worker pool — but per-scenario counts are only
-//! meaningful when exactly one simulation thread runs inside the
-//! counted window (`E10_JOBS=1`), which is how the gates invoke it.
+//! free. Counting is per thread: [`enable`] turns it on for the calling
+//! thread only, and [`allocs`] and [`reset`] read and zero that
+//! thread's counter. So tests that count in parallel (libtest runs
+//! them on several threads) never see each other's allocations, and a
+//! bench that counts on its main thread ignores idle pool workers. A
+//! simulation runs on the thread that calls `run`, so counting on that
+//! thread sees all of it.
 //!
 //! When `CountingAlloc` is *not* installed as the global allocator the
 //! helpers still run the closure; they just report 0 — callers that
 //! require real numbers can check [`is_installed`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+/// Threads with counting enabled. Zero (the common case) keeps the
+/// allocator's fast path to this one relaxed load.
+static COUNTING_THREADS: AtomicUsize = AtomicUsize::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 static BT_LO: AtomicU64 = AtomicU64::new(u64::MAX);
 static BT_HI: AtomicU64 = AtomicU64::new(u64::MAX);
 
 thread_local! {
-    static IN_HOOK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static IN_HOOK: Cell<bool> = const { Cell::new(false) };
+    /// Whether this thread counts its allocator calls.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocator calls since its last [`reset`].
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Debug aid for allocation hunts: print a backtrace for every counted
@@ -50,29 +59,36 @@ pub fn trace_range(lo: u64, hi: u64) {
     BT_HI.store(hi, Ordering::Relaxed);
 }
 
+/// Count one allocator call if this thread is counting. Only reached
+/// while some thread is. The backtrace hook's own allocations are not
+/// counted, so ordinals match an untraced run.
 fn note_alloc() {
-    let n = ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if !COUNTING.with(Cell::get) || IN_HOOK.with(Cell::get) {
+        return;
+    }
+    let n = ALLOCS.with(|c| {
+        let n = c.get();
+        c.set(n + 1);
+        n
+    });
     if n >= BT_LO.load(Ordering::Relaxed) && n < BT_HI.load(Ordering::Relaxed) {
-        IN_HOOK.with(|f| {
-            if !f.get() {
-                f.set(true);
-                eprintln!(
-                    "alloc #{n} at:\n{}",
-                    std::backtrace::Backtrace::force_capture()
-                );
-                f.set(false);
-            }
-        });
+        IN_HOOK.with(|f| f.set(true));
+        eprintln!(
+            "alloc #{n} at:\n{}",
+            std::backtrace::Backtrace::force_capture()
+        );
+        IN_HOOK.with(|f| f.set(false));
     }
 }
 
 /// A `System`-backed allocator that counts `alloc`/`realloc` calls
-/// while counting is enabled. Install with `#[global_allocator]`.
+/// made by threads with counting enabled. Install with
+/// `#[global_allocator]`.
 pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if COUNTING_THREADS.load(Ordering::Relaxed) != 0 {
             note_alloc();
         }
         unsafe { System.alloc(layout) }
@@ -83,7 +99,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if COUNTING_THREADS.load(Ordering::Relaxed) != 0 {
             note_alloc();
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -117,31 +133,37 @@ pub fn is_installed() -> bool {
     INSTALLED.load(Ordering::Relaxed)
 }
 
-/// Allocator calls observed since the last [`reset`], regardless of
-/// whether counting is currently enabled.
+/// Allocator calls the calling thread made since its last [`reset`]
+/// while counting was enabled on it.
 pub fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
-/// Zero the counter.
+/// Zero the calling thread's counter.
 pub fn reset() {
-    ALLOCS.store(0, Ordering::Relaxed);
+    ALLOCS.with(|c| c.set(0));
 }
 
-/// Enable counting (idempotent).
+/// Enable counting on the calling thread (idempotent).
 pub fn enable() {
-    COUNTING.store(true, Ordering::Relaxed);
+    if !COUNTING.with(|c| c.replace(true)) {
+        COUNTING_THREADS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
-/// Disable counting (idempotent).
+/// Disable counting on the calling thread (idempotent).
 pub fn disable() {
-    COUNTING.store(false, Ordering::Relaxed);
+    if COUNTING.with(|c| c.replace(false)) {
+        COUNTING_THREADS.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
-/// Count allocator calls across `f`, returning `(calls, f())`.
+/// Count the calling thread's allocator calls across `f`, returning
+/// `(calls, f())`.
 ///
 /// Resets the counter, so it measures `f` alone; nesting is not
 /// supported (the inner `count` would clobber the outer window).
+/// Allocations `f` makes on other threads are not counted.
 pub fn count<R>(f: impl FnOnce() -> R) -> (u64, R) {
     reset();
     enable();

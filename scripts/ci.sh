@@ -9,6 +9,10 @@
 #   2. full test suite (unit + integration + property + doc tests),
 #      with a per-suite/total test-count summary from the harness
 #      "test result:" lines
+#  2b. the alloc_count gates again at --test-threads=4: the allocation
+#      gauge counts per thread, and on a 1-CPU host libtest runs one
+#      thread, which would hide a gate that counts its neighbours'
+#      allocations
 #   3. formatting
 #   4. clippy, warnings promoted to errors
 #   5. fault-matrix smoke: stalls/link faults/RPC failures across the
@@ -84,6 +88,8 @@ awk '/^test result:/ {
               suites, passed, failed
      }' target/ci-test.log
 echo "    [$(($SECONDS - t0))s] cargo test"
+
+step cargo test -q -p e10-romio --test alloc_count -- --test-threads=4
 
 step cargo fmt --all --check
 
