@@ -66,6 +66,54 @@ fn ceil_log2(n: usize) -> u32 {
     usize::BITS - (n - 1).leading_zeros()
 }
 
+/// The shared result of a sparse `u64` all-to-all: every rank's
+/// non-zero `(dst, value)` pairs, bucketed by destination with a
+/// counting sort. Rank `d`'s column is `entries[starts[d]..starts[d + 1]]`
+/// as `(src, value)` pairs in ascending `src` order.
+struct SparseColumns {
+    starts: Vec<usize>,
+    entries: Vec<(usize, u64)>,
+}
+
+impl SparseColumns {
+    /// Bucket the contributions (one `Vec<(usize, u64)>` per source
+    /// rank) in O(p + nnz), consuming them.
+    fn build(contribs: &mut Vec<Option<Box<dyn Any>>>) -> Self {
+        let p = contribs.len();
+        let mut starts = vec![0usize; p + 1];
+        for c in contribs.iter() {
+            let row = c
+                .as_ref()
+                .expect("missing contribution")
+                .downcast_ref::<Vec<(usize, u64)>>()
+                .expect("alltoall type mismatch");
+            for &(dst, _) in row {
+                starts[dst + 1] += 1;
+            }
+        }
+        for d in 0..p {
+            starts[d + 1] += starts[d];
+        }
+        let mut cursor = starts.clone();
+        let mut entries = vec![(0, 0); starts[p]];
+        for (src, c) in contribs.iter_mut().enumerate() {
+            let row = c
+                .take()
+                .and_then(|c| c.downcast::<Vec<(usize, u64)>>().ok())
+                .expect("contribution checked in the counting pass");
+            for &(dst, v) in row.iter() {
+                entries[cursor[dst]] = (src, v);
+                cursor[dst] += 1;
+            }
+        }
+        SparseColumns { starts, entries }
+    }
+
+    fn column(&self, dst: usize) -> &[(usize, u64)] {
+        &self.entries[self.starts[dst]..self.starts[dst + 1]]
+    }
+}
+
 impl Comm {
     fn coll(&self) -> Rc<CollShared> {
         Rc::clone(&self.state.coll)
@@ -366,22 +414,32 @@ impl Comm {
     /// values received (index = source rank). `bytes_each` is the wire
     /// size of one element.
     pub async fn alltoall<T: Clone + 'static>(&self, v: Vec<T>, bytes_each: u64) -> Vec<T> {
-        let sizes = vec![bytes_each; v.len()];
-        self.alltoallv(v, &sizes).await
+        let total = bytes_each * v.len() as u64;
+        self.exchange(v, total, |_| bytes_each).await
     }
 
     /// `MPI_Alltoallv`: like [`alltoall`](Self::alltoall) with per-
     /// destination wire sizes.
     pub async fn alltoallv<T: Clone + 'static>(&self, v: Vec<T>, bytes: &[u64]) -> Vec<T> {
+        assert_eq!(bytes.len(), self.size());
+        self.exchange(v, bytes.iter().sum(), |dst| bytes[dst]).await
+    }
+
+    /// The all-to-all both public forms share: `total` is this rank's
+    /// summed send size (the analytic cost), `bytes(dst)` the wire size
+    /// of the message to `dst` (the algorithmic sends).
+    async fn exchange<T: Clone + 'static>(
+        &self,
+        v: Vec<T>,
+        total: u64,
+        bytes: impl Fn(usize) -> u64,
+    ) -> Vec<T> {
         let p = self.size();
-        assert_eq!(v.len(), p, "alltoallv needs one element per rank");
-        assert_eq!(bytes.len(), p);
+        assert_eq!(v.len(), p, "alltoall needs one element per rank");
         let opid = self.next_op();
         match self.coll().backend {
             CollBackend::Analytic => {
-                let total: u64 = bytes.iter().sum();
                 let contrib: Box<dyn Any> = Box::new(v);
-                let me = self.rank;
                 let out = self
                     .sync_slot(opid, contrib, move |contribs| {
                         // Build the full matrix once; each rank extracts
@@ -397,7 +455,6 @@ impl Comm {
                             .collect::<Vec<Vec<T>>>()
                     })
                     .await;
-                let _ = me;
                 sleep(self.cost_alltoall(total)).await;
                 (0..p).map(|src| out[src][self.rank].clone()).collect()
             }
@@ -409,7 +466,7 @@ impl Comm {
                 let mut reqs = Vec::new();
                 for s in 1..p {
                     let dst = (self.rank + s) % p;
-                    reqs.push(self.isend(dst, tag, bytes[dst], v[dst].take().unwrap()));
+                    reqs.push(self.isend(dst, tag, bytes(dst), v[dst].take().unwrap()));
                 }
                 for _ in 1..p {
                     let m = self.recv(SourceSel::Any, tag).await;
@@ -422,13 +479,24 @@ impl Comm {
         }
     }
 
-    /// Allocation-free `MPI_Alltoall` of one `u64` per rank, the shape
-    /// of the two-phase round loop's size dissemination: `buf[i]` is
-    /// sent to rank `i` and replaced in place by the value received
-    /// *from* rank `i`. `sreqs` is caller-owned scratch (drained on
-    /// return) so steady-state rounds touch the allocator zero times.
-    /// Wire behaviour — send order, per-message size, matching — is
-    /// identical to `alltoall(v, bytes_each)`.
+    /// `MPI_Alltoall` of one `u64` per rank in place, the shape of the
+    /// two-phase round loop's size dissemination: `buf[i]` is sent to
+    /// rank `i` and replaced by the value received *from* rank `i`.
+    /// Results, virtual times and the opid sequence are identical to
+    /// `alltoall(buf.to_vec(), bytes_each)` on either backend.
+    ///
+    /// * Algorithmic: allocation-free in steady state. `sreqs` is
+    ///   caller-owned scratch for the sends (drained on return); wire
+    ///   behaviour — send order, per-message size, matching — is that
+    ///   of `alltoall`.
+    /// * Analytic: sparse. Each rank scans only its own `buf` and
+    ///   sends its non-zero entries through the rendezvous; the last
+    ///   arrival buckets them by destination in O(p + nnz). No p×p
+    ///   matrix is built or gathered by column, while the charged cost
+    ///   stays that of the dense exchange. Each rank allocates one
+    ///   vector of its non-zero `(dst, value)` pairs plus the slot's
+    ///   box; the last arrival allocates the bucket index and entries.
+    ///   `sreqs` is unused.
     pub async fn alltoall_u64_inplace(
         &self,
         buf: &mut [u64],
@@ -437,12 +505,24 @@ impl Comm {
     ) {
         let p = self.size();
         assert_eq!(buf.len(), p, "alltoall needs one element per rank");
+        let opid = self.next_op();
         if self.coll().backend == CollBackend::Analytic {
-            let out = self.alltoall(buf.to_vec(), bytes_each).await;
-            buf.copy_from_slice(&out);
+            let row: Vec<(usize, u64)> = buf
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != 0)
+                .map(|(dst, &v)| (dst, v))
+                .collect();
+            let cols = self
+                .sync_slot(opid, Box::new(row), SparseColumns::build)
+                .await;
+            sleep(self.cost_alltoall(bytes_each * p as u64)).await;
+            buf.fill(0);
+            for &(src, v) in cols.column(self.rank) {
+                buf[src] = v;
+            }
             return;
         }
-        let opid = self.next_op();
         let tag = self.op_tag(opid, 0);
         debug_assert!(sreqs.is_empty());
         for s in 1..p {
@@ -545,7 +625,7 @@ impl Comm {
 mod tests {
     use super::*;
     use crate::{launch, WorldSpec};
-    use e10_simcore::{now, run};
+    use e10_simcore::{now, run, SimTime};
 
     fn both_backends(test: impl Fn(CollBackend) + Copy) {
         test(CollBackend::Algorithmic);
@@ -648,6 +728,140 @@ mod tests {
                     }
                 }
             });
+        });
+    }
+
+    /// Send matrices `m[src][dst]` for the `u64` all-to-all tests: all
+    /// zero, one non-zero per row, ~10% random non-zeros, and fully
+    /// dense at the top of the `u64` range (`m[0][0] == u64::MAX`).
+    fn u64_matrices(p: usize) -> Vec<(&'static str, Vec<Vec<u64>>)> {
+        let mut rng = e10_simcore::SimRng::new(0xA11 + p as u64);
+        let one = (0..p)
+            .map(|src| {
+                let mut row = vec![0; p];
+                row[(src * 5 + 3) % p] = (src as u64 + 1) << 20;
+                row
+            })
+            .collect();
+        let random = (0..p)
+            .map(|_| {
+                (0..p)
+                    .map(|_| match rng.below(10) {
+                        0 => 1 + rng.below(1 << 40),
+                        _ => 0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let dense = (0..p)
+            .map(|src| {
+                (0..p)
+                    .map(|dst| u64::MAX - (src * p + dst) as u64)
+                    .collect()
+            })
+            .collect();
+        vec![
+            ("all-zero", vec![vec![0; p]; p]),
+            ("one-per-row", one),
+            ("random-10%", random),
+            ("dense-max", dense),
+        ]
+    }
+
+    fn transpose(m: &[Vec<u64>]) -> Vec<Vec<u64>> {
+        (0..m.len())
+            .map(|dst| m.iter().map(|row| row[dst]).collect())
+            .collect()
+    }
+
+    /// One `u64` all-to-all of `m` on `p = m.len()` ranks whose entry
+    /// times are skewed by rank; returns each rank's received vector
+    /// and virtual return time.
+    fn u64_alltoall(b: CollBackend, inplace: bool, m: &[Vec<u64>]) -> Vec<(Vec<u64>, SimTime)> {
+        let m = Rc::new(m.to_vec());
+        run(async move {
+            launch(spec(m.len(), b), move |comm| {
+                let mut buf = m[comm.rank()].clone();
+                async move {
+                    let skew = (comm.rank() * 37 % 11) as u64;
+                    e10_simcore::sleep(SimDuration::from_micros(skew)).await;
+                    if inplace {
+                        comm.alltoall_u64_inplace(&mut buf, 8, &mut Vec::new())
+                            .await;
+                    } else {
+                        buf = comm.alltoall(buf, 8).await;
+                    }
+                    (buf, now())
+                }
+            })
+            .await
+        })
+    }
+
+    #[test]
+    fn sparse_analytic_u64_alltoall_matches_dense_exchange() {
+        for p in [1usize, 2, 3, 8, 13, 64] {
+            for (name, m) in u64_matrices(p) {
+                let want = transpose(&m);
+                let analytic = u64_alltoall(CollBackend::Analytic, true, &m);
+                let generic = u64_alltoall(CollBackend::Analytic, false, &m);
+                let algorithmic = u64_alltoall(CollBackend::Algorithmic, true, &m);
+                for r in 0..p {
+                    assert_eq!(analytic[r].0, want[r], "p={p} {name} rank {r}: analytic");
+                    assert_eq!(generic[r].0, want[r], "p={p} {name} rank {r}: generic");
+                    assert_eq!(
+                        algorithmic[r].0, want[r],
+                        "p={p} {name} rank {r}: algorithmic"
+                    );
+                    // Same rendezvous, same charged cost: bit-identical
+                    // virtual return times.
+                    assert_eq!(analytic[r].1, generic[r].1, "p={p} {name} rank {r}: time");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn back_to_back_u64_alltoalls_on_skewed_ranks() {
+        // Each rank runs every matrix of `u64_matrices` in turn through
+        // the same buffer. Most ranks go straight on to the next call;
+        // a few are delayed before each one, so fast ranks enter op
+        // k+1 while slow ranks are still inside op k.
+        const P: usize = 13;
+        let ms = Rc::new(u64_matrices(P));
+        let rounds = ms.len() * 3;
+        both_backends(|b| {
+            let ms = Rc::clone(&ms);
+            let done = Rc::new(RefCell::new(vec![0usize; P]));
+            let overlapped = Rc::new(RefCell::new(false));
+            let overlapped2 = Rc::clone(&overlapped);
+            run(async move {
+                launch(spec(P, b), move |comm| {
+                    let (ms, done, overlapped) = (ms.clone(), done.clone(), overlapped2.clone());
+                    async move {
+                        let me = comm.rank();
+                        let mut buf = vec![0u64; P];
+                        let mut sreqs = Vec::new();
+                        for k in 0..rounds {
+                            if me % 4 == 1 {
+                                let lag = ((me * 7 + k * 3) % 5) as u64;
+                                e10_simcore::sleep(SimDuration::from_micros(lag)).await;
+                            }
+                            if done.borrow().iter().any(|&d| d < k) {
+                                *overlapped.borrow_mut() = true;
+                            }
+                            let (name, m) = &ms[k % ms.len()];
+                            buf.copy_from_slice(&m[me]);
+                            comm.alltoall_u64_inplace(&mut buf, 8, &mut sreqs).await;
+                            let want: Vec<u64> = m.iter().map(|row| row[me]).collect();
+                            assert_eq!(buf, want, "{b:?} call {k} ({name}) rank {me}");
+                            done.borrow_mut()[me] = k + 1;
+                        }
+                    }
+                })
+                .await;
+            });
+            assert!(*overlapped.borrow(), "{b:?}: no rank overtook another");
         });
     }
 

@@ -14,7 +14,7 @@
 //!   otherwise. With matching aggregator count and file domains this is
 //!   exactly the safe case the paper describes.
 
-use e10_mpisim::{waitall, FileView, SourceSel, Tag};
+use e10_mpisim::{waitall, FileView, Request, SourceSel, Tag};
 use e10_simcore::trace;
 use e10_storesim::{ExtentMap, Payload, Source};
 
@@ -152,6 +152,7 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
     };
 
     let mut size_buf = vec![0u64; p];
+    let mut size_reqs: Vec<Request> = Vec::new();
     let mut windows: Vec<(u64, u64)> = Vec::with_capacity(naggs);
     let mut asked: Vec<bool> = Vec::with_capacity(naggs);
 
@@ -180,10 +181,13 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
             );
         }
 
-        let req_sizes: Vec<u64> = {
+        // Size dissemination in place: `size_buf` now holds the
+        // per-source byte counts of the requests this rank will serve.
+        {
             let _t = prof.enter(Phase::ShuffleAlltoall);
-            comm.alltoall(std::mem::take(&mut size_buf), 8).await
-        };
+            comm.alltoall_u64_inplace(&mut size_buf, 8, &mut size_reqs)
+                .await;
+        }
 
         // Send request lists; keep my own local. The lists are moved
         // into the sends (the historical path cloned each one).
@@ -214,7 +218,7 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
             {
                 let _t = prof.enter(Phase::ShuffleWaitall);
                 let mut rreqs = Vec::new();
-                for (src, &sz) in req_sizes.iter().enumerate() {
+                for (src, &sz) in size_buf.iter().enumerate() {
                     if sz > 0 && src != me {
                         rreqs.push(comm.irecv(SourceSel::Rank(src), req_tag));
                     }
@@ -316,9 +320,6 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
                 }
             }
         }
-
-        // Reclaim the received size vector as next round's send buffer.
-        size_buf = req_sizes;
 
         // Everyone: wait for requested data.
         {

@@ -17,6 +17,11 @@
 //!    exchange sends every rank its row and shares one combined
 //!    matrix, so a round costs at most `2·p + 16` allocator calls, not
 //!    the O(p²) of a per-rank copy of the matrix.
+//! 4. **O(p) marginal allocations per round on the Analytic collective
+//!    backend** (the one paper-scale runs use): its size exchange moves
+//!    only each rank's non-zero counts through the rendezvous, so a
+//!    round costs at most `2·p + 16` allocator calls, not the O(p²) of
+//!    a dense p×p matrix. Gates 1–3 run on the Algorithmic backend.
 //!
 //! Counting is per thread (see `alloc_gauge`), so these tests may run
 //! in parallel.
@@ -25,10 +30,13 @@
 //! print a backtrace for every counted allocation whose ordinal falls
 //! in `[lo, hi)` — see `alloc_gauge::trace_range`.
 
+use e10_mpisim::CollBackend;
 use e10_simcore::alloc_gauge::{self, CountingAlloc};
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
+
+const ALGO: CollBackend = CollBackend::Algorithmic;
 
 fn install_bt_hook() {
     if let Ok(spec) = std::env::var("E10_ALLOC_BT") {
@@ -54,17 +62,25 @@ enum Tolerance {
     On,
 }
 
-/// A fixed interleaved collective write of `ranks` ranks on 4 nodes;
-/// `blocks` interleaved 10 KB blocks per rank (rounds scale with it).
-/// Returns rounds.
-fn collective_write_scenario(ranks: usize, blocks: u64, cache: bool, tol: Tolerance) -> u64 {
+/// A fixed interleaved collective write of `ranks` ranks on 4 nodes
+/// with the given collective backend; `blocks` interleaved 10 KB
+/// blocks per rank (rounds scale with it). Returns rounds.
+fn collective_write_scenario(
+    backend: CollBackend,
+    ranks: usize,
+    blocks: u64,
+    cache: bool,
+    tol: Tolerance,
+) -> u64 {
     use e10_mpisim::{FlatType, Info};
     use std::cell::Cell;
     use std::rc::Rc;
     let rounds = Rc::new(Cell::new(0u64));
     let rounds2 = Rc::clone(&rounds);
     e10_simcore::run(async move {
-        let tb = e10_romio::TestbedSpec::small(ranks, 4).build();
+        let mut spec = e10_romio::TestbedSpec::small(ranks, 4);
+        spec.backend = backend;
+        let tb = spec.build();
         let handles: Vec<_> = tb
             .ctxs()
             .into_iter()
@@ -132,8 +148,9 @@ fn collective_write_scenario(ranks: usize, blocks: u64, cache: bool, tol: Tolera
 fn collective_write_allocation_budget() {
     // Warm-up outside the counted window (lazy statics, first-touch
     // buffers), then the measured run.
-    collective_write_scenario(8, 16, false, Tolerance::Unset);
-    let (n, _) = alloc_gauge::count(|| collective_write_scenario(8, 16, false, Tolerance::Unset));
+    collective_write_scenario(ALGO, 8, 16, false, Tolerance::Unset);
+    let (n, _) =
+        alloc_gauge::count(|| collective_write_scenario(ALGO, 8, 16, false, Tolerance::Unset));
     println!("collective_write_scenario allocator calls: {n}");
     // Seed (pre-optimisation) count: see CHANGES.md. The ceiling is
     // well above the optimised count; a reintroduced per-round clone
@@ -149,11 +166,11 @@ fn steady_state_rounds_allocate_nothing() {
     install_bt_hook();
     for cache in [false, true] {
         // Warm-up run (lazy statics, thread-locals).
-        collective_write_scenario(8, 16, cache, Tolerance::Unset);
+        collective_write_scenario(ALGO, 8, 16, cache, Tolerance::Unset);
         let (a1, r1) =
-            alloc_gauge::count(|| collective_write_scenario(8, 16, cache, Tolerance::Unset));
+            alloc_gauge::count(|| collective_write_scenario(ALGO, 8, 16, cache, Tolerance::Unset));
         let (a2, r2) =
-            alloc_gauge::count(|| collective_write_scenario(8, 32, cache, Tolerance::Unset));
+            alloc_gauge::count(|| collective_write_scenario(ALGO, 8, 32, cache, Tolerance::Unset));
         assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
         let marginal = (a2 as i64 - a1 as i64) as f64 / (r2 - r1) as f64;
         println!(
@@ -175,11 +192,13 @@ fn steady_state_rounds_allocate_nothing() {
 fn steady_state_with_tolerance_hints_off_allocates_nothing() {
     install_bt_hook();
     for cache in [false, true] {
-        collective_write_scenario(8, 16, cache, Tolerance::Defaults);
-        let (a1, r1) =
-            alloc_gauge::count(|| collective_write_scenario(8, 16, cache, Tolerance::Defaults));
-        let (a2, r2) =
-            alloc_gauge::count(|| collective_write_scenario(8, 32, cache, Tolerance::Defaults));
+        collective_write_scenario(ALGO, 8, 16, cache, Tolerance::Defaults);
+        let (a1, r1) = alloc_gauge::count(|| {
+            collective_write_scenario(ALGO, 8, 16, cache, Tolerance::Defaults)
+        });
+        let (a2, r2) = alloc_gauge::count(|| {
+            collective_write_scenario(ALGO, 8, 32, cache, Tolerance::Defaults)
+        });
         assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
         let marginal = (a2 as i64 - a1 as i64) as f64 / (r2 - r1) as f64;
         println!(
@@ -203,9 +222,11 @@ fn steady_state_with_tolerance_hints_off_allocates_nothing() {
 fn tolerant_rounds_allocate_linearly_in_ranks() {
     install_bt_hook();
     const P: usize = 16;
-    collective_write_scenario(P, 8, false, Tolerance::On);
-    let (a1, r1) = alloc_gauge::count(|| collective_write_scenario(P, 8, false, Tolerance::On));
-    let (a2, r2) = alloc_gauge::count(|| collective_write_scenario(P, 16, false, Tolerance::On));
+    collective_write_scenario(ALGO, P, 8, false, Tolerance::On);
+    let (a1, r1) =
+        alloc_gauge::count(|| collective_write_scenario(ALGO, P, 8, false, Tolerance::On));
+    let (a2, r2) =
+        alloc_gauge::count(|| collective_write_scenario(ALGO, P, 16, false, Tolerance::On));
     assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
     let marginal = (a2 as f64 - a1 as f64) / (r2 - r1) as f64;
     println!("tolerant p={P}: rounds {r1}->{r2}, allocs {a1}->{a2}, marginal {marginal:.2}/round");
@@ -213,6 +234,31 @@ fn tolerant_rounds_allocate_linearly_in_ranks() {
     assert!(
         marginal <= budget,
         "tolerant rounds must allocate O(p): {marginal:.2} allocator calls per round \
+         over {r1}->{r2} rounds, budget {budget}"
+    );
+}
+
+/// The same write on the Analytic backend at 16 ranks: marginal
+/// allocator calls per round must stay O(p). Each rank sends its
+/// non-zero counts as one small vector; a dense exchange would gather
+/// all `p²` entries every round.
+#[test]
+fn analytic_rounds_allocate_linearly_in_ranks() {
+    install_bt_hook();
+    const P: usize = 16;
+    let ana = CollBackend::Analytic;
+    collective_write_scenario(ana, P, 8, false, Tolerance::Unset);
+    let (a1, r1) =
+        alloc_gauge::count(|| collective_write_scenario(ana, P, 8, false, Tolerance::Unset));
+    let (a2, r2) =
+        alloc_gauge::count(|| collective_write_scenario(ana, P, 16, false, Tolerance::Unset));
+    assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
+    let marginal = (a2 as f64 - a1 as f64) / (r2 - r1) as f64;
+    println!("analytic p={P}: rounds {r1}->{r2}, allocs {a1}->{a2}, marginal {marginal:.2}/round");
+    let budget = (2 * P + 16) as f64;
+    assert!(
+        marginal <= budget,
+        "analytic rounds must allocate O(p): {marginal:.2} allocator calls per round \
          over {r1}->{r2} rounds, budget {budget}"
     );
 }
